@@ -17,10 +17,11 @@
 //! Scenarios: `clean` (calibration), `drop-dup` (10% batch drop + 5%
 //! duplication), `kill` (one of two-plus worker shards killed a third of
 //! the way in), and `kill-drop-dup` (all three at once — the chaos
-//! conformance mix). `render_chaos_json` records the rows
-//! (`out/BENCH_chaos.json` via `motif-bench chaos-json`); the committed
+//! conformance mix). `motif-bench chaos-json` records the rows
+//! (`out/BENCH_chaos.json`); the committed
 //! `BENCH_chaos.json` snapshot at the repo root is a full recording.
 
+use crate::record::flat_record;
 use motifs::supervised_random;
 use std::time::Instant;
 use strand_machine::{run_parsed_goal, ChaosPlan, MachineConfig, RunReport};
@@ -50,6 +51,20 @@ impl ChaosPoint {
         self.delivered as f64 / self.expected as f64
     }
 }
+
+flat_record!(ChaosPoint, Some("motif-bench chaos-json v1"), {
+    scenario: str,
+    threads: int,
+    wall_ns: int,
+    reductions: int,
+    overhead: fixed(4),
+    delivered: int,
+    expected: int,
+    restarts: int,
+    shards_killed: int,
+    batches_dropped: int,
+    batches_duplicated: int,
+});
 
 const RING: u32 = 8;
 
@@ -145,144 +160,10 @@ pub fn b3_chaos(quick: bool) -> Vec<ChaosPoint> {
     points
 }
 
-/// Serialize chaos points as JSON (no external dependencies).
-pub fn render_chaos_json(points: &[ChaosPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench chaos-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"wall_ns\": {}, \
-             \"reductions\": {}, \"overhead\": {:.4}, \"delivered\": {}, \
-             \"expected\": {}, \"restarts\": {}, \"shards_killed\": {}, \
-             \"batches_dropped\": {}, \"batches_duplicated\": {}}}{comma}\n",
-            p.scenario,
-            p.threads,
-            p.wall_ns,
-            p.reductions,
-            p.overhead,
-            p.delivered,
-            p.expected,
-            p.restarts,
-            p.shards_killed,
-            p.batches_dropped,
-            p.batches_duplicated
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_chaos_json`] output — the same schema-drift
-/// tripwire as the other series parsers.
-pub fn parse_chaos_json(json: &str) -> Result<Vec<ChaosPoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench chaos-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"scenario\"") {
-            continue;
-        }
-        points.push(ChaosPoint {
-            scenario: string_field(line, "scenario")?,
-            threads: num_field(line, "threads")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            reductions: num_field(line, "reductions")?,
-            overhead: num_field(line, "overhead")?,
-            delivered: num_field(line, "delivered")?,
-            expected: num_field(line, "expected")?,
-            restarts: num_field(line, "restarts")?,
-            shards_killed: num_field(line, "shards_killed")?,
-            batches_dropped: num_field(line, "batches_dropped")?,
-            batches_duplicated: num_field(line, "batches_duplicated")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Vec<ChaosPoint> {
-        vec![
-            ChaosPoint {
-                scenario: "clean".to_string(),
-                threads: 2,
-                wall_ns: 1_234_567,
-                reductions: 900,
-                overhead: 1.0,
-                delivered: 8,
-                expected: 8,
-                restarts: 0,
-                shards_killed: 0,
-                batches_dropped: 0,
-                batches_duplicated: 0,
-            },
-            ChaosPoint {
-                scenario: "kill-drop-dup".to_string(),
-                threads: 2,
-                wall_ns: 7_654_321,
-                reductions: 4200,
-                overhead: 4.6667,
-                delivered: 8,
-                expected: 8,
-                restarts: 4,
-                shards_killed: 1,
-                batches_dropped: 9,
-                batches_duplicated: 2,
-            },
-        ]
-    }
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = sample();
-        let json = render_chaos_json(&points);
-        let parsed = parse_chaos_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_chaos_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let json = render_chaos_json(&sample());
-        assert!(parse_chaos_json(&json.replace("\"restarts\"", "\"boots\"")).is_err());
-        assert!(parse_chaos_json("{}").is_err());
-    }
+    use crate::record::parse;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
@@ -296,7 +177,7 @@ mod tests {
         )) else {
             return;
         };
-        let points = parse_chaos_json(&json).expect("committed snapshot parses");
+        let (_, points) = parse::<ChaosPoint>(&json).expect("committed snapshot parses");
         for scenario in ["clean", "drop-dup", "kill", "kill-drop-dup"] {
             assert!(
                 points.iter().any(|p| p.scenario == scenario),

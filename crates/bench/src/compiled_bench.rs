@@ -28,10 +28,10 @@
 //!   native aligner dominates, so the claim here is only "the compiled
 //!   tier never loses" (≥1×).
 //!
-//! `render_compiled_json` records the rows (`out/BENCH_compiled.json` via
-//! `motif-bench compiled-json`); the committed `BENCH_compiled.json`
+//! `motif-bench compiled-json` records the rows (`out/BENCH_compiled.json`); the committed `BENCH_compiled.json`
 //! snapshot at the repo root is a full recording.
 
+use crate::record::flat_record;
 use motifs::tree_reduce_1;
 use std::time::Instant;
 use strand_machine::{run_parsed_goal_with_lib, ExecMode, ForeignLib, MachineConfig};
@@ -51,6 +51,15 @@ pub struct CompiledPoint {
     /// interpreted row itself).
     pub speedup: f64,
 }
+
+flat_record!(CompiledPoint, Some("motif-bench compiled-json v1"), {
+    workload: str,
+    exec: str,
+    backend: str,
+    wall_ns: int,
+    reductions: int,
+    speedup: fixed(4),
+});
 
 /// Opcode table width of the tree-reduce row. Wide enough that rule
 /// dispatch dominates the run; `--stats` confirms the interpreter attempts
@@ -249,121 +258,10 @@ pub fn b2_compiled(quick: bool) -> Vec<CompiledPoint> {
     points
 }
 
-/// Serialize compiled-tier points as JSON (no external dependencies).
-pub fn render_compiled_json(points: &[CompiledPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench compiled-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"exec\": \"{}\", \"backend\": \"{}\", \
-             \"wall_ns\": {}, \"reductions\": {}, \"speedup\": {:.4}}}{comma}\n",
-            p.workload, p.exec, p.backend, p.wall_ns, p.reductions, p.speedup
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_compiled_json`] output — same schema-drift
-/// tripwire as the B-series parser.
-pub fn parse_compiled_json(json: &str) -> Result<Vec<CompiledPoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench compiled-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"workload\"") {
-            continue;
-        }
-        points.push(CompiledPoint {
-            workload: string_field(line, "workload")?,
-            exec: string_field(line, "exec")?,
-            backend: string_field(line, "backend")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            reductions: num_field(line, "reductions")?,
-            speedup: num_field(line, "speedup")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = vec![
-            CompiledPoint {
-                workload: "tree-reduce".to_string(),
-                exec: "interpreted".to_string(),
-                backend: "simulator".to_string(),
-                wall_ns: 123_456_789,
-                reductions: 9001,
-                speedup: 1.0,
-            },
-            CompiledPoint {
-                workload: "tree-reduce".to_string(),
-                exec: "compiled".to_string(),
-                backend: "simulator".to_string(),
-                wall_ns: 42,
-                reductions: 9001,
-                speedup: 5.25,
-            },
-        ];
-        let json = render_compiled_json(&points);
-        let parsed = parse_compiled_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_compiled_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let points = vec![CompiledPoint {
-            workload: "x".to_string(),
-            exec: "compiled".to_string(),
-            backend: "simulator".to_string(),
-            wall_ns: 1,
-            reductions: 1,
-            speedup: 1.0,
-        }];
-        let json = render_compiled_json(&points);
-        assert!(parse_compiled_json(&json.replace("\"wall_ns\"", "\"ns\"")).is_err());
-        assert!(parse_compiled_json("{}").is_err());
-    }
+    use crate::record::parse;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
@@ -377,7 +275,7 @@ mod tests {
         )) else {
             return;
         };
-        let points = parse_compiled_json(&json).expect("committed snapshot parses");
+        let (_, points) = parse::<CompiledPoint>(&json).expect("committed snapshot parses");
         let speedup = |w: &str| {
             points
                 .iter()

@@ -83,22 +83,25 @@ fn run_tr2(eval_src: &str, tree: &str, servers: u32, seed: u64, track: &str) -> 
     run_parsed_goal(&p, &format!("create({servers}, tr2({tree}, Value))"), cfg).expect("TR2 runs")
 }
 
+/// The Figure 1 producer/consumer program; `go(N)` streams N messages.
+pub const FIGURE1: &str = r#"
+    go(N) :- producer(N, Xs, sync), consumer(Xs).
+    producer(N, Xs, sync) :- N > 0 |
+        Xs := [X|Xs1], N1 := N - 1, producer(N1, Xs1, X).
+    producer(0, Xs, _) :- Xs := [].
+    consumer([X|Xs]) :- X := sync, consumer(Xs).
+    consumer([]).
+"#;
+
 /// F1: the Figure 1 producer/consumer program.
 pub fn fig1() -> Table {
-    let src = r#"
-        go(N) :- producer(N, Xs, sync), consumer(Xs).
-        producer(N, Xs, sync) :- N > 0 |
-            Xs := [X|Xs1], N1 := N - 1, producer(N1, Xs1, X).
-        producer(0, Xs, _) :- Xs := [].
-        consumer([X|Xs]) :- X := sync, consumer(Xs).
-        consumer([]).
-    "#;
     let mut t = Table::new(
         "F1: Figure 1 producer/consumer (synchronous stream)",
         &["N", "status", "reductions", "suspensions", "peak queue"],
     );
     for n in [4u32, 16, 64, 256] {
-        let r = run_goal(src, &format!("go({n})"), MachineConfig::default()).expect("fig1 runs");
+        let r =
+            run_goal(FIGURE1, &format!("go({n})"), MachineConfig::default()).expect("fig1 runs");
         t.row(vec![
             n.to_string(),
             format!("{:?}", r.report.status),
@@ -710,22 +713,25 @@ pub fn e9_future() -> Table {
     t
 }
 
+/// A skewed-cost task bag under the `@task` pragma: `gen(N, V)` spawns N
+/// tasks costing `30 + (N mod 13)³` ticks each and counts them into V.
+pub const TASK_PRAGMA_APP: &str = r#"
+    gen(0, V) :- V := 0.
+    gen(N, V) :- N > 0 |
+        cost(N, C),
+        burn(C, V1)@task,
+        N1 := N - 1,
+        gen(N1, V2),
+        add(V1, V2, V).
+    cost(N, C) :- M := N mod 13, C := 30 + M * M * M.
+    burn(C, V) :- work(C), V := 1.
+    add(V1, V2, V) :- V := V1 + V2.
+"#;
+
 /// E10: the `@task` pragma (demand scheduling, §2.2) vs `@random`
 /// (oblivious mapping, §3.3) on one skewed-cost program.
 pub fn e10_pragma() -> Table {
-    const APP_TASK: &str = r#"
-        gen(0, V) :- V := 0.
-        gen(N, V) :- N > 0 |
-            cost(N, C),
-            burn(C, V1)@task,
-            N1 := N - 1,
-            gen(N1, V2),
-            add(V1, V2, V).
-        cost(N, C) :- M := N mod 13, C := 30 + M * M * M.
-        burn(C, V) :- work(C), V := 1.
-        add(V1, V2, V) :- V := V1 + V2.
-    "#;
-    let app_random = APP_TASK.replace("@task", "@random");
+    let app_random = TASK_PRAGMA_APP.replace("@task", "@random");
     let mut t = Table::new(
         "E10: @task (demand) vs @random (oblivious) on skewed tasks",
         &["P", "tasks", "mapping", "makespan", "imbalance", "value ok"],
@@ -733,7 +739,7 @@ pub fn e10_pragma() -> Table {
     for (p, n) in [(5u32, 40u32), (9, 40), (9, 120)] {
         // Demand-driven via the Sched motif.
         let prog = motifs::task_scheduler_with_entries(&[("gen", 2)])
-            .apply_src(APP_TASK)
+            .apply_src(TASK_PRAGMA_APP)
             .expect("Sched applies");
         let goal = motifs::boot_goal(p, "gen", &[&n.to_string(), "V"]);
         let r = run_parsed_goal(&prog, &goal, MachineConfig::with_nodes(p).seed(13))
@@ -791,6 +797,7 @@ pub fn e1_threads() -> Table {
             let n = workers * ratio;
             let pool = Pool::new(workers, false);
             let _ = farm(&pool, Policy::Random(7), (0..n).collect(), |x: usize| x);
+            pool.shutdown(); // join first: see `Pool::stats`
             let stats = pool.stats();
             let max = stats.iter().map(|s| s.tasks).max().unwrap_or(0) as f64;
             let mean = n as f64 / workers as f64;
@@ -800,7 +807,6 @@ pub fn e1_threads() -> Table {
                 ratio.to_string(),
                 format!("{:.2}", max / mean),
             ]);
-            pool.shutdown();
         }
     }
     t.note("Same shape as E1 on the simulator: the balls-into-bins imbalance");
@@ -1118,6 +1124,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "e8-sim",
     "e1-threads",
     "b1-parallel",
+    "t1-timings",
 ];
 
 /// Run one experiment by name, returning its rendered output.
@@ -1144,6 +1151,7 @@ pub fn run_experiment(name: &str) -> Option<String> {
         "e8-sim" => e8_sim().render(),
         "e1-threads" => e1_threads().render(),
         "b1-parallel" => crate::parallel_bench::b1_parallel_table(false).render(),
+        "t1-timings" => crate::timings::t1_timings(15).render(),
         _ => return None,
     })
 }

@@ -3,17 +3,20 @@
 //! Measures reductions per second and heap allocations per reduction for the
 //! reduction hot path on three representative workloads (the tree-reduce
 //! motif, the E1 random-mapping farm, and one cell of the E4 speedup sweep),
-//! then writes `BENCH_machine.json`.
+//! then writes `BENCH_machine.json` through the flat-record codec.
 //!
-//! The file keeps a **baseline**: the first recording (made on the
-//! pre-optimization engine) is preserved verbatim on every later run, so the
-//! JSON always shows current-vs-baseline for the perf trajectory. Allocation
-//! counts come from the counting global allocator installed by the
-//! `motif-bench` binary ([`crate::counting_alloc`]); when that allocator is
-//! absent the alloc columns read zero.
+//! The file keeps a **baseline**: the `baseline_*` fields of the first
+//! recording are carried forward verbatim on every later run, so the JSON
+//! always shows current-vs-baseline for the perf trajectory. A previous file
+//! that does not parse as this schema (say, an older layout) makes the
+//! current run the new baseline. Allocation counts come from the counting
+//! global allocator installed by the `motif-bench` binary
+//! ([`crate::counting_alloc`]); when that allocator is absent the alloc
+//! columns read zero.
 
 use crate::counting_alloc;
 use crate::experiments::{heavy_eval, uniform_eval};
+use crate::record::{flat_record, parse};
 use motifs::{random_tree_src, tree_reduce_1};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -21,9 +24,9 @@ use strand_machine::{ast_to_term, Machine, MachineConfig};
 use strand_parse::{compile_program, parse_term, Program};
 
 /// One measured workload, current run plus preserved baseline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadReport {
-    pub name: &'static str,
+    pub name: String,
     pub reductions: u64,
     pub reductions_per_sec: f64,
     pub allocs_per_reduction: f64,
@@ -40,6 +43,15 @@ impl WorkloadReport {
         }
     }
 }
+
+flat_record!(WorkloadReport, Some("motif-bench machine-json v2"), {
+    name: str,
+    reductions: int,
+    reductions_per_sec: fixed(1),
+    allocs_per_reduction: fixed(2),
+    baseline_reductions_per_sec: fixed(1),
+    baseline_allocs_per_reduction: fixed(2),
+});
 
 struct Workload {
     name: &'static str,
@@ -139,119 +151,51 @@ fn measure(w: &Workload) -> (u64, f64, f64) {
     )
 }
 
-/// Extract `"key": <number>` occurring after `"name": "<workload>"` in a
-/// previously written report. Returns `None` on any mismatch, which makes
-/// the current run the new baseline.
-fn parse_field(json: &str, workload: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{workload}\""))?;
-    let rest = &json[at..];
-    let kat = rest.find(&format!("\"{key}\":"))?;
-    let num = rest[kat..].split(':').nth(1)?;
-    let num: String = num
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
 /// Run every workload; `previous` is the old file contents (if any) whose
 /// baseline numbers are carried forward.
 pub fn run_machine_bench(previous: Option<&str>) -> Vec<WorkloadReport> {
+    let previous = previous
+        .and_then(|json| parse::<WorkloadReport>(json).ok())
+        .map_or_else(Vec::new, |(_, reports)| reports);
     workloads()
         .iter()
         .map(|w| {
             let (reductions, rps, apr) = measure(w);
-            let base_rps = previous
-                .and_then(|j| parse_field(j, w.name, "baseline_reductions_per_sec"))
-                .unwrap_or(rps);
-            let base_apr = previous
-                .and_then(|j| parse_field(j, w.name, "baseline_allocs_per_reduction"))
-                .unwrap_or(apr);
+            let baseline = previous.iter().find(|r| r.name == w.name);
             WorkloadReport {
-                name: w.name,
+                name: w.name.to_string(),
                 reductions,
                 reductions_per_sec: rps,
                 allocs_per_reduction: apr,
-                baseline_reductions_per_sec: base_rps,
-                baseline_allocs_per_reduction: base_apr,
+                baseline_reductions_per_sec: baseline
+                    .map_or(rps, |b| b.baseline_reductions_per_sec),
+                baseline_allocs_per_reduction: baseline
+                    .map_or(apr, |b| b.baseline_allocs_per_reduction),
             }
         })
         .collect()
 }
 
-/// Render the reports as the `BENCH_machine.json` document.
-pub fn render_json(reports: &[WorkloadReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench machine-json v1\",\n");
-    out.push_str(
-        "  \"description\": \"Reduction hot-path throughput. baseline_* fields are \
-         preserved from the first recording (pre-optimization engine); the other \
-         fields are the latest run.\",\n",
-    );
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        out.push_str(&format!("      \"reductions\": {},\n", r.reductions));
-        out.push_str(&format!(
-            "      \"reductions_per_sec\": {:.1},\n",
-            r.reductions_per_sec
-        ));
-        out.push_str(&format!(
-            "      \"allocs_per_reduction\": {:.2},\n",
-            r.allocs_per_reduction
-        ));
-        out.push_str(&format!(
-            "      \"baseline_reductions_per_sec\": {:.1},\n",
-            r.baseline_reductions_per_sec
-        ));
-        out.push_str(&format!(
-            "      \"baseline_allocs_per_reduction\": {:.2},\n",
-            r.baseline_allocs_per_reduction
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_baseline\": {:.2}\n",
-            r.speedup_vs_baseline()
-        ));
-        out.push_str(if i + 1 == reports.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{render, Header};
 
     #[test]
     fn baseline_fields_survive_a_rewrite() {
         let reports = vec![WorkloadReport {
-            name: "tree_reduce",
+            name: "tree_reduce".to_string(),
             reductions: 100,
             reductions_per_sec: 2000.0,
             allocs_per_reduction: 10.0,
             baseline_reductions_per_sec: 1000.0,
             baseline_allocs_per_reduction: 40.0,
         }];
-        let json = render_json(&reports);
-        assert_eq!(
-            parse_field(&json, "tree_reduce", "baseline_reductions_per_sec"),
-            Some(1000.0)
-        );
-        assert_eq!(
-            parse_field(&json, "tree_reduce", "baseline_allocs_per_reduction"),
-            Some(40.0)
-        );
-        assert_eq!(
-            parse_field(&json, "tree_reduce", "speedup_vs_baseline"),
-            Some(2.0)
-        );
-        assert_eq!(parse_field(&json, "missing", "reductions_per_sec"), None);
+        let json = render(&Header::this_host(), &reports);
+        assert_eq!(parse::<WorkloadReport>(&json).expect("parses").1, reports);
+        assert_eq!(reports[0].speedup_vs_baseline(), 2.0);
+        // The v1 layout is not this schema: it starts a new baseline.
+        let v1 = json.replace("machine-json v2", "machine-json v1");
+        assert!(parse::<WorkloadReport>(&v1).is_err());
     }
 }

@@ -20,11 +20,13 @@
 //! * `seqalign` — progressive RNA alignment with the native `align_node`
 //!   as a pure foreign procedure, computed outside the machine lock.
 //!
-//! `write_parallel_json` records the rows machine-readably
-//! (`out/BENCH_parallel.json` via `motif-bench parallel-json`).
+//! `motif-bench parallel-json` records the rows machine-readably
+//! (`out/BENCH_parallel.json`) through the flat-record codec.
 
+use crate::record::flat_record;
 use crate::table::Table;
 use motifs::{random_tree_src, tree_reduce_1};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
 use strand_machine::{run_parsed_goal_with_lib, ForeignLib, GoalResult, MachineConfig};
@@ -44,10 +46,51 @@ pub struct ParallelPoint {
     pub speedup: f64,
 }
 
-/// Timed-work foreign library: `nspin(Ns, Done)` burns CPU for `Ns`
-/// nanoseconds, `nsleep(Ns, Done)` blocks for `Ns` nanoseconds. Both bind
-/// `Done := done` and charge one virtual tick — they model node work whose
-/// cost is real time, not virtual time.
+flat_record!(ParallelPoint, None, {
+    workload: str,
+    backend: str,
+    threads: int,
+    wall_ns: int,
+    speedup: fixed(4),
+});
+
+/// One unit of CPU burn. Calibration and `nspin` run this same loop.
+fn spin(iterations: u64) {
+    let mut acc = 0u64;
+    for i in 0..iterations {
+        acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
+    }
+    std::hint::black_box(acc);
+}
+
+/// Spin iterations worth `ns` nanoseconds of CPU on this host. The rate
+/// is calibrated once per process (best of five timed rounds, so a round
+/// that was descheduled does not count), and from then on a given `ns`
+/// always burns the same fixed amount of work, however the threads doing
+/// it are scheduled.
+fn spin_iterations(ns: u64) -> u64 {
+    static PER_MS: OnceLock<u64> = OnceLock::new();
+    let per_ms = *PER_MS.get_or_init(|| {
+        const ROUND: u64 = 200_000;
+        let best = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                spin(ROUND);
+                t0.elapsed()
+            })
+            .min()
+            .expect("five rounds");
+        (ROUND as u128 * 1_000_000 / best.as_nanos().max(1)).max(1) as u64
+    });
+    (ns as u128 * per_ms as u128 / 1_000_000) as u64
+}
+
+/// Timed-work foreign library: `nspin(Ns, Done)` burns a fixed amount of
+/// CPU worth `Ns` nanoseconds on an idle core, `nsleep(Ns, Done)` blocks
+/// for `Ns` nanoseconds. Both bind `Done := done` and charge one virtual
+/// tick — they model node work whose cost is real time, not virtual time.
+/// A descheduled `nspin` does not progress, so CPU-bound rows can only
+/// speed up on real cores.
 pub fn timed_work_lib() -> ForeignLib {
     fn ns_arg(args: &[Term]) -> StrandResult<u64> {
         match &args[0] {
@@ -59,11 +102,7 @@ pub fn timed_work_lib() -> ForeignLib {
     }
     let mut lib = ForeignLib::new();
     lib.register("nspin", 2, |args| {
-        let ns = ns_arg(args)?;
-        let t0 = Instant::now();
-        while (t0.elapsed().as_nanos() as u64) < ns {
-            std::hint::spin_loop();
-        }
+        spin(spin_iterations(ns_arg(args)?));
         Ok((Term::atom("done"), 1))
     });
     lib.register("nsleep", 2, |args| {
@@ -223,92 +262,10 @@ pub fn b1_parallel_table(quick: bool) -> Table {
     t
 }
 
-/// Serialize B-series points as JSON (no external dependencies).
-pub fn render_parallel_json(points: &[ParallelPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    if host <= 1 {
-        // Loud in-band annotation: a snapshot recorded on one core measures
-        // scheduling overhead, not parallelism. Tooling that plots speedups
-        // should treat such files as smoke output only.
-        out.push_str(
-            "  \"host_warning\": \"recorded on a single-core host; speedup \
-             columns are not parallel speedups\",\n",
-        );
-    }
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"backend\": \"{}\", \"threads\": {}, \
-             \"wall_ns\": {}, \"speedup\": {:.4}}}{comma}\n",
-            p.workload, p.backend, p.threads, p.wall_ns, p.speedup
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the JSON produced by [`render_parallel_json`] back into points —
-/// the schema round-trip that plotting scripts and the committed
-/// `BENCH_parallel_sharded.json` snapshot rely on. Hand-rolled (the
-/// workspace vendors no JSON crate) and deliberately strict: a field the
-/// renderer stops emitting, renames or reorders fails here, so schema
-/// drift breaks the round-trip test instead of passing silently.
-pub fn parse_parallel_json(json: &str) -> Result<(usize, Vec<ParallelPoint>), String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    let host: usize = num_field(json, "host_parallelism")?;
-    if !json.contains("\"points\": [") {
-        return Err("missing points array".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"workload\"") {
-            continue;
-        }
-        points.push(ParallelPoint {
-            workload: string_field(line, "workload")?,
-            backend: string_field(line, "backend")?,
-            threads: num_field(line, "threads")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            speedup: num_field(line, "speedup")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok((host, points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{parse, render, Header};
 
     #[test]
     fn quick_points_cover_every_workload_and_backend() {
@@ -321,51 +278,18 @@ mod tests {
                 .iter()
                 .any(|p| p.workload == w && p.backend == "parallel" && p.threads == 2));
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let points = b1_parallel(true);
-        let json = render_parallel_json(&points);
+        let json = render(&Header::this_host(), &points);
         assert!(json.contains("\"workload\": \"tree-reduce-io\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        parse::<ParallelPoint>(&json).expect("a recorded file parses");
     }
 
     #[test]
-    fn json_schema_round_trips() {
-        // Synthetic points exercise the full value space without running
-        // the workloads: render → parse must reproduce every field (speedup
-        // to its serialized 4-decimal precision), and a second render of
-        // the parsed points must be byte-identical.
-        let points = vec![
-            ParallelPoint {
-                workload: "ring".to_string(),
-                backend: "simulator".to_string(),
-                threads: 1,
-                wall_ns: 123_456_789,
-                speedup: 1.0,
-            },
-            ParallelPoint {
-                workload: "tree-reduce".to_string(),
-                backend: "parallel".to_string(),
-                threads: 8,
-                wall_ns: 42,
-                speedup: 2.5625,
-            },
-        ];
-        let json = render_parallel_json(&points);
-        let (host, parsed) = parse_parallel_json(&json).expect("round-trip parses");
-        assert!(host >= 1);
-        assert_eq!(parsed, points);
-        assert_eq!(render_parallel_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let points = b1_parallel(true);
-        let json = render_parallel_json(&points);
-        let renamed = json.replace("\"wall_ns\"", "\"wall_nanos\"");
-        assert!(parse_parallel_json(&renamed).is_err());
-        assert!(parse_parallel_json("{}").is_err());
+    fn spin_iterations_are_fixed_per_process() {
+        let n = spin_iterations(3_000_000);
+        assert!(n > 0);
+        for _ in 0..3 {
+            assert_eq!(spin_iterations(3_000_000), n);
+        }
+        assert_eq!(spin_iterations(0), 0);
     }
 }

@@ -23,6 +23,7 @@
 //! can judge (the gate checks completeness and residency, which are
 //! host-independent, plus sane latency ordering — not absolute speed).
 
+use crate::record::flat_record;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +58,22 @@ pub struct ServePoint {
     pub vars_reclaimed: u64,
     pub sessions_closed: u64,
 }
+
+flat_record!(ServePoint, Some("motif-bench serve-json v1"), {
+    scenario: str,
+    threads: int,
+    clients: int,
+    requests: int,
+    completed: int,
+    lost: int,
+    busy_retries: int,
+    p50_us: int,
+    p99_us: int,
+    throughput_rps: fixed(1),
+    idle_parks: int,
+    vars_reclaimed: int,
+    sessions_closed: int,
+});
 
 /// Drive one client connection: `count` requests of `value`, validating
 /// the doubled reply. Returns (latencies µs, completed, busy retries).
@@ -241,153 +258,10 @@ pub fn c1_serve_supervised(quick: bool) -> Vec<ServePoint> {
         .collect()
 }
 
-/// Serialize serve points as JSON (no external dependencies).
-pub fn render_serve_json(points: &[ServePoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench serve-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"clients\": {}, \
-             \"requests\": {}, \"completed\": {}, \"lost\": {}, \
-             \"busy_retries\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"throughput_rps\": {:.1}, \"idle_parks\": {}, \
-             \"vars_reclaimed\": {}, \"sessions_closed\": {}}}{comma}\n",
-            p.scenario,
-            p.threads,
-            p.clients,
-            p.requests,
-            p.completed,
-            p.lost,
-            p.busy_retries,
-            p.p50_us,
-            p.p99_us,
-            p.throughput_rps,
-            p.idle_parks,
-            p.vars_reclaimed,
-            p.sessions_closed
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_serve_json`] output — the same schema-drift
-/// tripwire as the other series parsers.
-pub fn parse_serve_json(json: &str) -> Result<Vec<ServePoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench serve-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"scenario\"") {
-            continue;
-        }
-        points.push(ServePoint {
-            scenario: string_field(line, "scenario")?,
-            threads: num_field(line, "threads")?,
-            clients: num_field(line, "clients")?,
-            requests: num_field(line, "requests")?,
-            completed: num_field(line, "completed")?,
-            lost: num_field(line, "lost")?,
-            busy_retries: num_field(line, "busy_retries")?,
-            p50_us: num_field(line, "p50_us")?,
-            p99_us: num_field(line, "p99_us")?,
-            throughput_rps: num_field(line, "throughput_rps")?,
-            idle_parks: num_field(line, "idle_parks")?,
-            vars_reclaimed: num_field(line, "vars_reclaimed")?,
-            sessions_closed: num_field(line, "sessions_closed")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Vec<ServePoint> {
-        vec![
-            ServePoint {
-                scenario: "burst".to_string(),
-                threads: 4,
-                clients: 16,
-                requests: 320,
-                completed: 320,
-                lost: 0,
-                busy_retries: 0,
-                p50_us: 180,
-                p99_us: 2400,
-                throughput_rps: 5123.4,
-                idle_parks: 7,
-                vars_reclaimed: 960,
-                sessions_closed: 16,
-            },
-            ServePoint {
-                scenario: "supervised".to_string(),
-                threads: 4,
-                clients: 1000,
-                requests: 5000,
-                completed: 5000,
-                lost: 0,
-                busy_retries: 12,
-                p50_us: 900,
-                p99_us: 41000,
-                throughput_rps: 2100.0,
-                idle_parks: 3,
-                vars_reclaimed: 15000,
-                sessions_closed: 1000,
-            },
-        ]
-    }
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = sample();
-        let json = render_serve_json(&points);
-        let parsed = parse_serve_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_serve_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let json = render_serve_json(&sample());
-        assert!(parse_serve_json(&json.replace("\"lost\"", "\"dropped\"")).is_err());
-        assert!(parse_serve_json("{}").is_err());
-    }
+    use crate::record::parse;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
@@ -402,7 +276,7 @@ mod tests {
         )) else {
             return;
         };
-        let points = parse_serve_json(&json).expect("committed snapshot parses");
+        let (_, points) = parse::<ServePoint>(&json).expect("committed snapshot parses");
         assert!(
             points.iter().any(|p| p.clients >= 1000),
             "snapshot is missing the ≥1000-client burst"

@@ -7,9 +7,9 @@
 //! sequential cutoff (below the cutoff the recursion stays on the current
 //! worker — the standard grain-size control the paper's era lacked).
 
+use crate::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What a problem divides into.
 pub enum Case<P, S> {
@@ -58,13 +58,16 @@ pub fn run<P: DcProblem>(pool: &Pool, problem: P) -> P::Solution {
     spawn_dc(pool, &group, problem, {
         let slot = Arc::clone(&slot);
         Box::new(move |s| {
-            *slot.lock() = Some(s);
+            *lock(&slot) = Some(s);
         })
     });
     group.wait();
     match Arc::try_unwrap(slot) {
-        Ok(m) => m.into_inner().expect("root solution delivered"),
-        Err(arc) => arc.lock().take().expect("root solution delivered"),
+        Ok(m) => m
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("root solution delivered"),
+        Err(arc) => lock(&arc).take().expect("root solution delivered"),
     }
 }
 
@@ -96,7 +99,7 @@ fn solve<P: DcProblem>(pool: &Pool, group: &TaskGroup, problem: P, sink: Sink<P:
                 let sink = Arc::clone(&sink);
                 Box::new(move |s: P::Solution| {
                     let other = {
-                        let mut slot = pending.lock();
+                        let mut slot = lock(&pending);
                         match slot.take() {
                             None => {
                                 *slot = Some(s);
@@ -110,7 +113,7 @@ fn solve<P: DcProblem>(pool: &Pool, group: &TaskGroup, problem: P, sink: Sink<P:
                     } else {
                         P::merge(other, s)
                     };
-                    let sink = sink.lock().take().expect("sink used once");
+                    let sink = lock(&sink).take().expect("sink used once");
                     sink(merged);
                 })
             };
@@ -211,9 +214,9 @@ mod tests {
     fn dc_uses_multiple_workers() {
         let pool = Pool::new(4, true);
         let _ = run(&pool, SortProblem(random_vec(200_000, 5)));
+        pool.shutdown(); // join first: see `Pool::stats`
         let stats = pool.stats();
         let active = stats.iter().filter(|s| s.tasks > 0).count();
         assert!(active >= 2, "{stats:?}");
-        pool.shutdown();
     }
 }

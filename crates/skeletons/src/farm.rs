@@ -12,9 +12,9 @@
 //!   when idle;
 //! * [`Policy::Stealing`] — the modern work-stealing baseline.
 
+use crate::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use strand_core::SplitMix64;
 
 /// How tasks are mapped onto workers.
@@ -56,7 +56,7 @@ where
         let ticket = group.add();
         let job = move || {
             let r = f(task);
-            *results[i].lock() = Some(r);
+            *lock(&results[i]) = Some(r);
             // Release our Arc clones before signalling completion so the
             // caller can usually unwrap the results without contention.
             drop(results);
@@ -88,13 +88,17 @@ where
     match Arc::try_unwrap(results) {
         Ok(v) => v
             .into_iter()
-            .map(|slot| slot.into_inner().expect(missing))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect(missing)
+            })
             .collect(),
         // A worker may still hold its clone for an instant after the last
         // ticket fired; take the values through the locks instead.
         Err(arc) => arc
             .iter()
-            .map(|slot| slot.lock().take().expect(missing))
+            .map(|slot| lock(slot).take().expect(missing))
             .collect(),
     }
 }
@@ -213,9 +217,9 @@ mod tests {
     fn chunking_reduces_dispatch_count() {
         let pool = Pool::new(2, false);
         let _ = farm_chunked(&pool, Policy::StaticCyclic, (0..64u64).collect(), 16, |x| x);
+        pool.shutdown(); // join first: see `Pool::stats`
         let dispatched: u64 = pool.stats().iter().map(|s| s.tasks).sum();
         assert_eq!(dispatched, 4, "64 tasks / 16 per chunk = 4 pool jobs");
-        pool.shutdown();
     }
 
     #[test]
@@ -258,12 +262,12 @@ mod tests {
             }
             c
         });
+        pool.shutdown(); // join first: see `Pool::stats`
         let stats = pool.stats();
         let active = stats.iter().filter(|s| s.tasks > 0).count();
         assert!(
             active >= 3,
             "demand farm should use several workers: {stats:?}"
         );
-        pool.shutdown();
     }
 }

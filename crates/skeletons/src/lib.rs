@@ -19,6 +19,8 @@
 //! * [`stencil`] — iterated 1-D three-point and 2-D five-point stencils
 //!   with barriers (the mesh computations of the paper's DIME context).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod dc;
 pub mod farm;
 pub mod mapreduce;
@@ -26,6 +28,13 @@ pub mod pipeline;
 pub mod pool;
 pub mod stencil;
 pub mod tree;
+
+/// Lock `m`, recovering the guard if a holder panicked. Pool jobs run
+/// under `catch_unwind`, so a panicking job must not wedge the result
+/// slots and queues its peers still need.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 pub use farm::{farm, farm_chunked, Policy};
 pub use pool::{Pool, TaskGroup, WorkerSet, WorkerSnapshot};

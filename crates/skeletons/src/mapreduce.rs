@@ -1,9 +1,9 @@
 //! Parallel map + reduction over slices — the semi-SIMD workhorse the
 //! paper's introduction contrasts MIMD programming against.
 
+use crate::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Apply `f` to every element in parallel, preserving order.
 pub fn par_map<T, R, F>(pool: &Pool, items: Vec<T>, f: F) -> Vec<R>
@@ -47,7 +47,7 @@ where
         let ticket = group.add();
         pool.spawn(move || {
             let acc = chunk_items.into_iter().fold(id, |a, x| fold(a, x));
-            *partials[i].lock() = Some(acc);
+            *lock(&partials[i]) = Some(acc);
             drop(partials);
             drop(fold);
             ticket.done();
@@ -57,11 +57,15 @@ where
     let collected: Vec<A> = match Arc::try_unwrap(partials) {
         Ok(v) => v
             .into_iter()
-            .map(|m| m.into_inner().expect("partial computed"))
+            .map(|m| {
+                m.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("partial computed")
+            })
             .collect(),
         Err(arc) => arc
             .iter()
-            .map(|m| m.lock().take().expect("partial computed"))
+            .map(|m| lock(m).take().expect("partial computed"))
             .collect(),
     };
     collected.into_iter().fold(identity, combine)

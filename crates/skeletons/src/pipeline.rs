@@ -3,26 +3,27 @@
 //! `motifs::pipeline` (stream programming is the paper's native idiom,
 //! §2.1).
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// A pipeline over items of type `T` (all stages are `T → T`; use an enum
 /// or boxed payload for heterogeneous pipelines).
 pub struct Pipeline<T: Send + 'static> {
-    input: Sender<T>,
+    input: SyncSender<T>,
     output: Receiver<T>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl<T: Send + 'static> Pipeline<T> {
     /// Build a pipeline from stage functions; `capacity` bounds each
-    /// inter-stage channel (back-pressure).
+    /// inter-stage channel (back-pressure). A capacity of 0 makes every
+    /// hand-off a rendezvous.
     pub fn new(stages: Vec<Box<dyn FnMut(T) -> T + Send>>, capacity: usize) -> Pipeline<T> {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        let (input, mut upstream) = bounded::<T>(capacity);
+        let (input, mut upstream) = sync_channel::<T>(capacity);
         let mut handles = Vec::with_capacity(stages.len());
         for (k, mut stage) in stages.into_iter().enumerate() {
-            let (tx, rx) = bounded::<T>(capacity);
+            let (tx, rx) = sync_channel::<T>(capacity);
             let upstream_rx = upstream;
             let handle = std::thread::Builder::new()
                 .name(format!("pipeline-stage-{k}"))

@@ -14,13 +14,17 @@
 //! Per-worker metrics (tasks run, busy nanoseconds, steals) feed the
 //! load-balance experiments (E1/E4 at real-thread level).
 
-use crossbeam::deque::{Injector, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A FIFO job queue. Every queue in the pool — the global one, each
+/// worker's assigned queue and each worker's local queue — is one of these.
+type Queue = Mutex<VecDeque<Job>>;
 
 /// A set of named OS worker threads with idempotent teardown — the
 /// spawn/join scaffolding shared by the skeleton [`Pool`] and the
@@ -56,7 +60,7 @@ impl WorkerSet {
     /// Join every worker. Idempotent: later calls (and calls racing from
     /// several clones of an owner) are no-ops.
     pub fn join(&self) {
-        let mut handles = self.handles.lock();
+        let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             let _ = h.join();
         }
@@ -82,9 +86,11 @@ pub struct WorkerSnapshot {
 }
 
 struct Shared {
-    global: Injector<Job>,
-    assigned: Vec<Injector<Job>>,
-    stealers: Vec<Stealer<Job>>,
+    global: Queue,
+    assigned: Vec<Queue>,
+    /// Each worker's local queue, filled by its batch steals. Peers pop
+    /// from it when stealing is enabled.
+    locals: Vec<Queue>,
     steal_enabled: bool,
     shutdown: AtomicBool,
     sleep_lock: Mutex<()>,
@@ -106,16 +112,11 @@ impl Pool {
     /// machines, where work never migrated without an explicit message).
     pub fn new(n: usize, steal: bool) -> Pool {
         assert!(n > 0, "pool needs at least one worker");
-        let mut locals: Vec<Option<Worker<Job>>> =
-            (0..n).map(|_| Some(Worker::new_fifo())).collect();
-        let stealers = locals
-            .iter()
-            .map(|w| w.as_ref().expect("fresh local").stealer())
-            .collect();
+        let queues = || (0..n).map(|_| Queue::default()).collect();
         let shared = Arc::new(Shared {
-            global: Injector::new(),
-            assigned: (0..n).map(|_| Injector::new()).collect(),
-            stealers,
+            global: Queue::default(),
+            assigned: queues(),
+            locals: queues(),
             steal_enabled: steal,
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
@@ -124,8 +125,7 @@ impl Pool {
         });
         let workers = WorkerSet::spawn(n, "skeleton-worker", |idx| {
             let shared = Arc::clone(&shared);
-            let local = locals[idx].take().expect("one spawn per worker");
-            Box::new(move || worker_loop(shared, idx, local))
+            Box::new(move || worker_loop(shared, idx))
         });
         Pool {
             shared,
@@ -140,18 +140,21 @@ impl Pool {
 
     /// Submit a job to the global (demand-driven) queue.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.global.push(Box::new(job));
+        lock(&self.shared.global).push_back(Box::new(job));
         self.shared.wakeup.notify_all();
     }
 
     /// Submit a job to a specific worker's queue (the `@node` placement).
     pub fn spawn_at(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
         let w = worker % self.workers();
-        self.shared.assigned[w].push(Box::new(job));
+        lock(&self.shared.assigned[w]).push_back(Box::new(job));
         self.shared.wakeup.notify_all();
     }
 
-    /// Snapshot all worker counters.
+    /// Snapshot all worker counters. A job is counted just after it
+    /// returns, so a [`TaskGroup::wait`] can release (the ticket fires
+    /// inside the job) before the last jobs are counted: read exact totals
+    /// after [`Pool::shutdown`], which joins the workers.
     pub fn stats(&self) -> Vec<WorkerSnapshot> {
         self.shared
             .stats
@@ -194,9 +197,9 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, me: usize, local: Worker<Job>) {
+fn worker_loop(shared: Arc<Shared>, me: usize) {
     loop {
-        if let Some(job) = find_job(&shared, me, &local) {
+        if let Some(job) = find_job(&shared, me) {
             let start = Instant::now();
             // A panicking job must not take the worker thread down with it:
             // queued work behind it (pinned there when stealing is off)
@@ -216,68 +219,58 @@ fn worker_loop(shared: Arc<Shared>, me: usize, local: Worker<Job>) {
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             // One more sweep to drain anything racing with shutdown.
-            if find_nothing(&shared, me, &local) {
+            if find_nothing(&shared, me) {
                 return;
             }
             continue;
         }
-        let mut guard = shared.sleep_lock.lock();
-        shared.wakeup.wait_for(&mut guard, Duration::from_millis(1));
+        let guard = lock(&shared.sleep_lock);
+        let _ = shared.wakeup.wait_timeout(guard, Duration::from_millis(1));
     }
 }
 
-fn find_job(shared: &Shared, me: usize, local: &Worker<Job>) -> Option<Job> {
-    if let Some(job) = local.pop() {
-        return Some(job);
+fn pop(q: &Queue) -> Option<Job> {
+    lock(q).pop_front()
+}
+
+/// Pop the front job of `src` and move up to half of what remains into
+/// `dest`, so one steal migrates a batch of work at once. The only place
+/// two queues are locked together, always source before a local queue.
+fn steal_batch(src: &Queue, dest: &Queue) -> Option<Job> {
+    let mut q = lock(src);
+    let first = q.pop_front()?;
+    let extra = q.len() / 2;
+    lock(dest).extend(q.drain(..extra));
+    Some(first)
+}
+
+fn find_job(shared: &Shared, me: usize) -> Option<Job> {
+    let local = &shared.locals[me];
+    let own = pop(local)
+        .or_else(|| steal_batch(&shared.assigned[me], local))
+        .or_else(|| steal_batch(&shared.global, local));
+    if own.is_some() || !shared.steal_enabled {
+        return own;
     }
-    loop {
-        match shared.assigned[me].steal_batch_and_pop(local) {
-            crossbeam::deque::Steal::Success(job) => return Some(job),
-            crossbeam::deque::Steal::Retry => continue,
-            crossbeam::deque::Steal::Empty => break,
-        }
-    }
-    loop {
-        match shared.global.steal_batch_and_pop(local) {
-            crossbeam::deque::Steal::Success(job) => return Some(job),
-            crossbeam::deque::Steal::Retry => continue,
-            crossbeam::deque::Steal::Empty => break,
-        }
-    }
-    if shared.steal_enabled {
-        let n = shared.stealers.len();
-        for k in 1..n {
-            let victim = (me + k) % n;
-            // Steal from the victim's local deque and its assigned queue.
-            loop {
-                match shared.stealers[victim].steal() {
-                    crossbeam::deque::Steal::Success(job) => {
-                        shared.stats[me].steals.fetch_add(1, Ordering::Relaxed);
-                        return Some(job);
-                    }
-                    crossbeam::deque::Steal::Retry => continue,
-                    crossbeam::deque::Steal::Empty => break,
-                }
-            }
-            loop {
-                match shared.assigned[victim].steal_batch_and_pop(local) {
-                    crossbeam::deque::Steal::Success(job) => {
-                        shared.stats[me].steals.fetch_add(1, Ordering::Relaxed);
-                        return Some(job);
-                    }
-                    crossbeam::deque::Steal::Retry => continue,
-                    crossbeam::deque::Steal::Empty => break,
-                }
-            }
+    let n = shared.locals.len();
+    for k in 1..n {
+        let victim = (me + k) % n;
+        // Steal from the victim's local queue, then its assigned queue.
+        let stolen =
+            pop(&shared.locals[victim]).or_else(|| steal_batch(&shared.assigned[victim], local));
+        if stolen.is_some() {
+            shared.stats[me].steals.fetch_add(1, Ordering::Relaxed);
+            return stolen;
         }
     }
     None
 }
 
-fn find_nothing(shared: &Shared, me: usize, local: &Worker<Job>) -> bool {
+fn find_nothing(shared: &Shared, me: usize) -> bool {
     // During shutdown: workers must drain their own queues and the global
     // queue (assigned work cannot migrate when stealing is off).
-    local.is_empty() && shared.assigned[me].is_empty() && shared.global.is_empty()
+    let empty = |q: &Queue| lock(q).is_empty();
+    empty(&shared.locals[me]) && empty(&shared.assigned[me]) && empty(&shared.global)
 }
 
 /// A fork-join completion group: jobs register before running, spawnees
@@ -321,9 +314,13 @@ impl TaskGroup {
 
     /// Block until every registered unit completed.
     pub fn wait(&self) {
-        let mut guard = self.inner.lock.lock();
+        let mut guard = lock(&self.inner.lock);
         while self.inner.pending.load(Ordering::SeqCst) > 0 {
-            self.inner.done.wait(&mut guard);
+            guard = self
+                .inner
+                .done
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -344,7 +341,7 @@ impl Ticket {
 impl Drop for Ticket {
     fn drop(&mut self) {
         if self.inner.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.inner.lock.lock();
+            let _guard = lock(&self.inner.lock);
             self.inner.done.notify_all();
         }
     }
@@ -385,10 +382,10 @@ mod tests {
             });
         }
         group.wait();
+        pool.shutdown(); // join first: see `Pool::stats`
         let stats = pool.stats();
         assert_eq!(stats[2].tasks, 40, "{stats:?}");
         assert_eq!(stats[0].tasks + stats[1].tasks + stats[3].tasks, 0);
-        pool.shutdown();
     }
 
     #[test]
@@ -403,11 +400,11 @@ mod tests {
             });
         }
         group.wait();
+        pool.shutdown(); // join first: see `Pool::stats`
         let stats = pool.stats();
         let others: u64 = stats[1..].iter().map(|s| s.tasks).sum();
         assert!(others > 0, "stealing should move some work: {stats:?}");
         assert_eq!(stats.iter().map(|s| s.tasks).sum::<u64>(), 200);
-        pool.shutdown();
     }
 
     #[test]
@@ -503,8 +500,8 @@ mod tests {
             });
         }
         group.wait();
+        pool.shutdown(); // join first: see `Pool::stats`
         let total: u64 = pool.stats().iter().map(|s| s.busy_nanos).sum();
         assert!(total >= 8 * 1_500_000, "busy nanos {total}");
-        pool.shutdown();
     }
 }

@@ -16,9 +16,9 @@
 //!   takes only its own stripe's lock (cross-stripe binds lock the two
 //!   stripes in index order);
 //! * cross-worker events — remote spawns, port sends, binding wakeups —
-//!   are buffered per destination and shipped as *batches* over crossbeam
-//!   channels (a batch flushes at [`BATCH_MAX`] events or when the worker
-//!   runs out of local work), amortising channel traffic;
+//!   are buffered per destination and shipped as *batches* over unbounded
+//!   `std::sync::mpsc` channels (a batch flushes at [`BATCH_MAX`] events or
+//!   when the worker runs out of local work), amortising channel traffic;
 //! * *pure* foreign procedures ([`strand_machine::ForeignLib`]) run inline
 //!   on the owning worker — there is no lock to hold, so native
 //!   computation on one worker genuinely overlaps everything else;
@@ -82,14 +82,13 @@ mod timers;
 
 pub use resident::ResidentHandle;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use quiesce::Tokens;
 use skeletons::WorkerSet;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use strand_core::{SplitMix64, StrandError, StrandResult};
 use strand_machine::{
@@ -98,12 +97,12 @@ use strand_machine::{
 };
 use strand_parse::{compile_program, parse_term, Program};
 
-/// Per-worker channel capacity (in batches). The vendored crossbeam stub
-/// has no unbounded channels; a deep bound keeps `send` from blocking in
-/// practice (a full channel would only deadlock if two workers blocked
-/// sending to each other — at this depth that means ~10⁶ undelivered
-/// batches per worker, far beyond any workload in the repo).
-const CHANNEL_CAP: usize = 1 << 20;
+/// Lock `m`, recovering the guard if a holder panicked: a panicking worker
+/// is reported through `Shared::fatal`, so a poisoned lock must not wedge
+/// the peers (or the join) that still need it.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Cross-worker events buffered per destination before a batch ships.
 /// Batches also flush whenever the sending worker runs out of local work,
@@ -273,7 +272,7 @@ fn run_parallel(
     let mut senders = Vec::with_capacity(threads);
     let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
     for _ in 0..threads {
-        let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
+        let (tx, rx) = channel::<Msg>();
         senders.push(tx);
         receivers.push(Some(rx));
     }
@@ -301,7 +300,7 @@ fn run_parallel(
         let slots = Arc::clone(&slots);
         let rx = receivers[idx].take().expect("one receiver per worker");
         Box::new(move || {
-            let mut m = slots[idx].lock().take().expect("one machine per worker");
+            let mut m = lock(&slots[idx]).take().expect("one machine per worker");
             // A panic anywhere in the shard (engine bug, foreign closure)
             // must not leave peers parked forever: surface it and stop.
             let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
@@ -311,19 +310,19 @@ fn run_parallel(
                     StrandError::Other("worker panicked during reduction".to_string()),
                 );
             }
-            *slots[idx].lock() = Some(m);
+            *lock(&slots[idx]) = Some(m);
         })
     });
     workers.join();
     let wall_ns = t0.elapsed().as_nanos() as u64;
 
-    if let Some(e) = shared.fatal.lock().take() {
+    if let Some(e) = lock(&shared.fatal).take() {
         return Err(e);
     }
     let truncated = shared.truncated.load(Ordering::Acquire);
     let mut machines: Vec<Machine> = slots
         .iter()
-        .map(|s| s.lock().take().expect("worker returned its machine"))
+        .map(|s| lock(s).take().expect("worker returned its machine"))
         .collect();
     let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
     let worker_jobs: Vec<u64> = parts.iter().map(|p| p.metrics.total_reductions).collect();
@@ -704,7 +703,7 @@ fn stop(shared: &Shared) {
 }
 
 fn fatal(shared: &Shared, e: StrandError) {
-    let mut slot = shared.fatal.lock();
+    let mut slot = lock(&shared.fatal);
     if slot.is_none() {
         *slot = Some(e);
     }

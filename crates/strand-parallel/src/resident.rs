@@ -35,15 +35,13 @@
 //! sessions land on shards that will actually reduce them.
 
 use crate::quiesce::Tokens;
-use crate::{resolve_threads, send_batch, stop, worker_loop, Msg, Shared, CHANNEL_CAP};
-use crossbeam::channel::{bounded, Receiver};
-use parking_lot::Mutex;
+use crate::{lock, resolve_threads, send_batch, stop, worker_loop, Msg, Shared};
 use skeletons::WorkerSet;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use strand_core::{StrandError, StrandResult, Term};
 use strand_machine::{
@@ -61,7 +59,7 @@ pub struct ResidentHandle {
     shared: Arc<Shared>,
     /// The ingress machine. Term construction, goal injection and the
     /// serve-side metrics counters all happen under this lock.
-    ingress: StdMutex<Machine>,
+    ingress: Mutex<Machine>,
     workers: Option<WorkerSet>,
     slots: Arc<Vec<Mutex<Option<Machine>>>>,
     threads: usize,
@@ -125,7 +123,7 @@ impl ResidentHandle {
         let mut senders = Vec::with_capacity(threads);
         let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
+            let (tx, rx) = channel::<Msg>();
             senders.push(tx);
             receivers.push(Some(rx));
         }
@@ -154,7 +152,7 @@ impl ResidentHandle {
                 let slots = Arc::clone(&slots);
                 let rx = receivers[idx].take().expect("one receiver per worker");
                 Box::new(move || {
-                    let mut m = slots[idx].lock().take().expect("one machine per worker");
+                    let mut m = lock(&slots[idx]).take().expect("one machine per worker");
                     let outcome =
                         catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
                     if outcome.is_err() {
@@ -163,14 +161,14 @@ impl ResidentHandle {
                             StrandError::Other("worker panicked during reduction".to_string()),
                         );
                     }
-                    *slots[idx].lock() = Some(m);
+                    *lock(&slots[idx]) = Some(m);
                 })
             })
         };
 
         Ok(ResidentHandle {
             shared,
-            ingress: StdMutex::new(ingress),
+            ingress: Mutex::new(ingress),
             workers: Some(workers),
             slots,
             threads,
@@ -195,7 +193,7 @@ impl ResidentHandle {
     /// then flush everything it enqueued to the owning workers (minting
     /// quiescence tokens per batch, so a parked fleet wakes).
     pub fn with_ingress<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        let mut m = self.ingress.lock().unwrap_or_else(|e| e.into_inner());
+        let mut m = lock(&self.ingress);
         let out = f(&mut m);
         let mut bufs: Vec<Vec<Routed>> = (0..self.threads).map(|_| Vec::new()).collect();
         for r in m.take_outbox() {
@@ -298,16 +296,20 @@ impl ResidentHandle {
         if let Some(ws) = self.workers.take() {
             ws.join();
         }
-        if let Some(e) = self.shared.fatal.lock().take() {
+        if let Some(e) = lock(&self.shared.fatal).take() {
             return Err(e);
         }
         let truncated = self.shared.truncated.load(Ordering::Acquire);
         let mut machines: Vec<Machine> = self
             .slots
             .iter()
-            .map(|s| s.lock().take().expect("worker returned its machine"))
+            .map(|s| lock(s).take().expect("worker returned its machine"))
             .collect();
-        machines.push(self.ingress.into_inner().unwrap_or_else(|e| e.into_inner()));
+        machines.push(
+            self.ingress
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
         let worker_jobs: Vec<u64> = parts
             .iter()

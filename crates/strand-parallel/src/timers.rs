@@ -35,8 +35,9 @@
 //! breaks ties), which keeps replays stable but is an ordering between
 //! *timers* only; no ordering is promised against regular work.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 use strand_core::Term;
 use strand_machine::WallTimer;
@@ -103,7 +104,7 @@ impl TimerWheel {
     pub fn arm_at(&self, due_ms: u64, timer: WallTimer) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let slot = ((due_ms / GRANULARITY_MS) as usize) % SLOTS;
-        self.slots[slot].lock().push(Entry { due_ms, seq, timer });
+        lock(&self.slots[slot]).push(Entry { due_ms, seq, timer });
         self.len.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -117,7 +118,7 @@ impl TimerWheel {
         let mut min: Option<u64> = None;
         let mut pruned = 0u64;
         for slot in &self.slots {
-            let mut entries = slot.lock();
+            let mut entries = lock(slot);
             entries.retain(|e| {
                 if is_cancelled(&e.timer.cancel) {
                     pruned += 1;
@@ -145,7 +146,7 @@ impl TimerWheel {
         }
         let mut min: Option<u64> = None;
         for slot in &self.slots {
-            for e in slot.lock().iter() {
+            for e in lock(slot).iter() {
                 if min.is_none_or(|m| e.due_ms < m) {
                     min = Some(e.due_ms);
                 }
@@ -170,7 +171,7 @@ impl TimerWheel {
         let mut fired: Vec<(u64, u64, WallTimer)> = Vec::new();
         let mut pruned = 0u64;
         for slot in &self.slots {
-            let mut entries = slot.lock();
+            let mut entries = lock(slot);
             entries.retain_mut(|e| {
                 if is_cancelled(&e.timer.cancel) {
                     pruned += 1;
@@ -200,7 +201,7 @@ impl TimerWheel {
         }
         let mut purged = 0usize;
         for slot in &self.slots {
-            let mut entries = slot.lock();
+            let mut entries = lock(slot);
             let before = entries.len();
             entries.retain(|e| e.timer.region != region);
             purged += before - entries.len();
